@@ -7,7 +7,7 @@ Lowers a logical plan into a :class:`PhysicalQuery` with
     row-level residual filter (pruning is row-group-granular),
   * a partial/final aggregation split: workers produce partial states
     (sum/count/min/max; avg becomes sum+count), the driver scope combines
-    them (in Spark SQL).
+    them (in pandas on the driver).
 """
 from __future__ import annotations
 

@@ -1,12 +1,14 @@
 """Lambada driver and execution engine (paper §3, Fig 3).
 
 The driver compiles the plan, assigns input files to serverless workers,
-"invokes" them (one Spark task per worker via ``DataFrame.mapInPandas``, the
-reproduction's function-per-fragment scheduler), and collects results through
-shared storage only: workers post partial rows back as task output and their
-success/error message + metrics into a result queue (the ``qresults`` bucket,
-standing in for SQS). The driver-scope final aggregation runs as Spark SQL on
-the session (Catalyst), mirroring the paper's small driver scopes.
+"invokes" them through ``DataFrame.mapInPandas`` (the reproduction's
+function-per-fragment scheduler), and collects results through shared
+storage only. Workers are packed into one Spark task per core; each still
+runs alone, with its own S3 client and request ledger, and posts its own
+success/error message + metrics into a result queue (the ``qresults``
+bucket, standing in for SQS), so one failed worker does not stop the others
+in its task. Partial rows come back as task output, and the driver scope
+combines them in pandas on the driver, as the paper's small driver scopes do.
 
 Real wall-clock at SF<=0.1 validates *correctness*; paper-scale latency and
 cost come from ``repro.sim.worker_model`` fed with the measured metrics.
@@ -14,7 +16,6 @@ cost come from ``repro.sim.worker_model`` fed with the measured metrics.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import uuid
 from pathlib import Path
@@ -22,16 +23,15 @@ from pathlib import Path
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
+from pyspark.sql import SparkSession
+from pyspark.sql.pandas.types import from_arrow_schema
 
 from ..s3.store import S3Client, S3Store
 from ..scan.s3file import S3RandomAccessFile
 from . import compile as qc
-from . import frontend, plan as pl
+from . import frontend
 from .metrics import QueryMetrics, WorkerMetrics
-from .worker import execute_fragment
+from .worker import execute_fragment, partial_schema
 
 RESULT_BUCKET = "qresults"
 
@@ -44,27 +44,10 @@ class WorkerError(RuntimeError):
 class QueryResult:
     """Result of one Lambada query execution."""
 
-    spark_df: DataFrame  # final (driver-scope) result as a Spark DataFrame
-    result: pd.DataFrame  # the same, collected
+    result: pd.DataFrame  # final (driver-scope) result, collected
     metrics: QueryMetrics
     n_workers: int
     files_per_worker: int
-
-
-def _spark_type(t: pa.DataType) -> T.DataType:
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return T.StringType()
-    if pa.types.is_timestamp(t):
-        return T.TimestampType()
-    if pa.types.is_date(t):
-        return T.DateType()
-    if pa.types.is_integer(t):
-        return T.LongType()
-    if pa.types.is_floating(t):
-        return T.DoubleType()
-    if pa.types.is_boolean(t):
-        return T.BooleanType()
-    raise TypeError(f"unsupported column type {t}")
 
 
 def _arrow_schema(store_root: str, f) -> pa.Schema:
@@ -76,48 +59,32 @@ def _arrow_schema(store_root: str, f) -> pa.Schema:
     return schema
 
 
-def _partial_spark_schema(phys: qc.PhysicalQuery, arrow: pa.Schema) -> T.StructType:
-    fields = []
-    if phys.aggs:
-        for c in phys.partial_schema():
-            if c.kind == "key":
-                fields.append(T.StructField(c.name, _spark_type(arrow.field(c.name).type)))
-            elif c.kind == "count":
-                fields.append(T.StructField(c.name, T.LongType()))
-            else:
-                fields.append(T.StructField(c.name, T.DoubleType()))
-    else:
-        names = phys.scan_columns or [f.name for f in arrow]
-        if phys.projections is not None:
-            for name in phys.projections:
-                fields.append(T.StructField(name, T.DoubleType()))
-            names = [k for k in phys.keys if k not in phys.projections]
-        for name in names:
-            fields.append(T.StructField(name, _spark_type(arrow.field(name).type)))
-    return T.StructType(fields)
-
-
-def _final_aggregation(partials: DataFrame, phys: qc.PhysicalQuery) -> DataFrame:
-    """Driver scope: combine partial states with Spark SQL (Catalyst)."""
+def _final_aggregation(partials: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
+    """Driver scope: combine the workers' partial states in pandas."""
     if not phys.aggs:
         return partials
-    combined = []
-    for a in phys.aggs:
-        if a.fn == "sum":
-            combined.append(F.sum(a.out_name).alias(a.out_name))
-        elif a.fn == "count":
-            combined.append(F.sum(a.out_name).cast("long").alias(a.out_name))
-        elif a.fn == "avg":
-            combined.append(
-                (F.sum(a.out_name + "__sum") / F.sum(a.out_name + "__cnt")).alias(a.out_name)
-            )
-        elif a.fn == "min":
-            combined.append(F.min(a.out_name).alias(a.out_name))
-        elif a.fn == "max":
-            combined.append(F.max(a.out_name).alias(a.out_name))
+    states = [c for c in phys.partial_schema() if c.kind != "key"]
     if phys.keys:
-        return partials.groupBy(*phys.keys).agg(*combined)
-    return partials.agg(*combined)
+        how = {c.name: "sum" if c.kind == "count" else c.kind for c in states}
+        merged = partials.groupby(phys.keys, sort=False).agg(how).reset_index()
+    else:  # one row, as in SQL: COUNT over no rows is 0, SUM/MIN/MAX are NULL
+        merged = pd.DataFrame(
+            {
+                c.name: [
+                    getattr(partials[c.name], c.kind)()
+                    if c.kind in ("min", "max")
+                    else partials[c.name].sum(min_count=int(c.kind == "sum"))
+                ]
+                for c in states
+            }
+        )
+    out = merged[phys.keys].copy()
+    for a in phys.aggs:
+        if a.fn == "avg":
+            out[a.out_name] = merged[a.out_name + "__sum"] / merged[a.out_name + "__cnt"]
+        else:
+            out[a.out_name] = merged[a.out_name]
+    return out
 
 
 def run_query(
@@ -143,57 +110,44 @@ def run_query(
         query = query.plan
     phys = query if isinstance(query, qc.PhysicalQuery) else qc.compile_plan(query)
     n_files = len(phys.files)
+    if not n_files:
+        raise ValueError("the query scans no files")
     if n_workers is not None and files_per_worker is not None:
         raise ValueError("give n_workers or files_per_worker, not both")
     if n_workers is None:
-        fpw = files_per_worker or 1
-        n_workers = math.ceil(n_files / fpw)
+        n_workers = math.ceil(n_files / (files_per_worker or 1))
     n_workers = min(n_workers, n_files)
     run_id = run_id or uuid.uuid4().hex[:12]
 
     S3Store(store_root).create_bucket(RESULT_BUCKET)
     arrow = _arrow_schema(store_root, phys.files[0])
-    out_schema = _partial_spark_schema(phys, arrow)
-    out_cols = [f.name for f in out_schema.fields]
+    out_schema = from_arrow_schema(partial_schema(phys, arrow))
 
-    assignments = [
-        (w, json.dumps(phys.files[w::n_workers])) for w in range(n_workers)
-    ]
-    tasks = spark.createDataFrame(assignments, schema="worker int, files string")
-    # one Spark task per serverless worker (the FaaS scheduler analogue)
-    tasks = tasks.repartition(n_workers, "worker")
-
-    root, limit, chunk, fhint = store_root, memory_limit_mib, chunk_bytes, footer_hint
-
-    def _run_worker(batches):
+    def _run_workers(batches):
         for batch in batches:
-            for _, row in batch.iterrows():
-                wid = int(row["worker"])
-                files = [tuple(f) for f in json.loads(row["files"])]
-                queue = S3Client(root)  # result-queue client (SQS stand-in)
+            for wid in batch["id"].tolist():
                 try:
                     partial, m = execute_fragment(
-                        root,
+                        store_root,
                         wid,
-                        files,
+                        phys.files[wid::n_workers],
                         phys,
-                        chunk_bytes=chunk,
-                        footer_hint=fhint,
-                        memory_limit_mib=limit,
+                        chunk_bytes=chunk_bytes,
+                        footer_hint=footer_hint,
+                        memory_limit_mib=memory_limit_mib,
                     )
                 except Exception as e:  # report instead of dying silently
-                    msg = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
-                    queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", msg.to_json().encode())
-                    continue
+                    partial = None
+                    m = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
+                queue = S3Client(store_root)  # result-queue client (SQS stand-in)
                 queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
-                for c in out_schema.fields:
-                    if c.name not in partial.columns:
-                        partial[c.name] = pd.Series(dtype="float64")
-                yield partial[out_cols]
+                if partial is not None:
+                    yield partial
 
-    partials = tasks.mapInPandas(_run_worker, schema=out_schema)
-    final = _final_aggregation(partials, phys)
-    result = final.toPandas()  # the action: runs all workers + driver scope
+    # one Spark task per core; each runs its share of the workers in turn
+    n_tasks = min(n_workers, spark.sparkContext.defaultParallelism)
+    tasks = spark.range(n_workers, numPartitions=n_tasks)
+    partials = tasks.mapInPandas(_run_workers, schema=out_schema).toPandas()
 
     # driver polls the result queue until it heard back from all workers
     qdir = Path(store_root) / RESULT_BUCKET / run_id
@@ -209,8 +163,7 @@ def run_query(
         )
     workers.sort(key=lambda w: w.worker_id)
     return QueryResult(
-        spark_df=final,
-        result=result,
+        result=_final_aggregation(partials, phys),
         metrics=QueryMetrics(workers),
         n_workers=n_workers,
         files_per_worker=math.ceil(n_files / n_workers),

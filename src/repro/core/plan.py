@@ -3,8 +3,8 @@
 A plan is a linear chain Scan -> (Filter | Project)* -> [Aggregate]. Plans are
 divided into *scopes* at compile time: the scan/filter/project/partial-
 aggregate pipeline runs in the **serverless scope** (one fragment per worker),
-the final aggregation runs in the **driver scope** (here: Spark SQL on the
-driver session, i.e. Catalyst).
+the final aggregation runs in the **driver scope** (here: pandas on the
+driver, over the collected partial rows).
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
 """Serverless worker: executes one plan fragment over its files (paper §3.3).
 
 Mirrors the paper's event handler: it receives a worker ID, the fragment, and
-its input file list; runs the execution engine under a memory guard so that
-out-of-memory situations are *reported* to the driver instead of the worker
-"dying silently"; and posts a success-or-error message (with metrics) to the
-result queue.
+its input file list, and runs the execution engine under a memory guard so
+that out-of-memory situations are *reported* to the driver instead of the
+worker "dying silently". Each worker has its own S3 client and request
+ledger, even when the engine packs several workers into one Spark task.
 
 The fragment pipeline is: S3 Parquet scan (with push-downs) -> residual
 filter -> projection -> partial aggregation, all vectorised over Arrow/pandas
@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..s3.store import S3Client
 from ..scan.parquet_scan import ParquetScanOperator
@@ -27,43 +28,55 @@ class WorkerOOM(MemoryError):
     """Fragment would exceed the function's memory limit."""
 
 
-def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
-    """Compute partial aggregation states for one worker's rows."""
-    cols = phys.partial_schema()
-    state_cols = [c for c in cols if c.kind != "key"]
+def partial_schema(phys: qc.PhysicalQuery, source: pa.Schema) -> pa.Schema:
+    """Arrow schema of a worker's output rows, given the scanned files' schema.
 
-    def _states(frame: pd.DataFrame) -> dict:
-        out = {}
-        for a in phys.aggs:
-            series = a.expr.eval(frame) if a.expr is not None else None
-            if a.fn == "sum":
-                out[a.out_name] = series.sum()
-            elif a.fn == "count":
-                out[a.out_name] = len(frame)
-            elif a.fn == "avg":
-                out[a.out_name + "__sum"] = series.sum()
-                out[a.out_name + "__cnt"] = len(frame)
-            elif a.fn == "min":
-                out[a.out_name] = series.min()
-            elif a.fn == "max":
-                out[a.out_name] = series.max()
-        return out
+    With aggregation: the keys, then the partial states (int64 counts,
+    float64 sums/min/max). Without: the projected columns (float64), or the
+    scanned columns as stored.
+    """
+    computed = phys.projections or {}
 
-    if df.empty:
-        return pd.DataFrame(
-            {
-                c.name: pd.Series(dtype=(object if c.kind == "key" else "float64"))
-                for c in cols
-            }
+    def field(name: str) -> pa.Field:
+        return pa.field(name, pa.float64() if name in computed else source.field(name).type)
+
+    if phys.aggs:
+        return pa.schema(
+            field(c.name)
+            if c.kind == "key"
+            else pa.field(c.name, pa.int64() if c.kind == "count" else pa.float64())
+            for c in phys.partial_schema()
         )
-    if phys.keys:
-        rows = []
-        for key_vals, grp in df.groupby(phys.keys, sort=False):
-            if len(phys.keys) == 1:
-                key_vals = (key_vals,)
-            rows.append({**dict(zip(phys.keys, key_vals)), **_states(grp)})
-        return pd.DataFrame(rows)
-    return pd.DataFrame([_states(df)])
+    if phys.projections is not None:
+        return pa.schema(field(n) for n in phys.projections)
+    return pa.schema(field(n) for n in phys.scan_columns or source.names)
+
+
+def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
+    """Partial aggregation states for one worker's (non-empty) rows.
+
+    Each aggregate expression is evaluated once over the whole batch; one
+    groupby then computes every state, one reduction per function over all
+    the columns it applies to (without keys: one reduce per column). Counts
+    and avg's ``__cnt`` count rows, nulls included.
+    """
+    values, how = {k: df[k] for k in phys.keys}, {}
+    for a in phys.aggs:
+        if a.fn != "count":
+            name = a.out_name + "__sum" if a.fn == "avg" else a.out_name
+            values[name], how[name] = a.expr.eval(df), "sum" if a.fn == "avg" else a.fn
+        if a.fn in ("count", "avg"):
+            name = a.out_name + "__cnt" if a.fn == "avg" else a.out_name
+            values[name], how[name] = 1, "sum"
+    states = pd.DataFrame(values, index=df.index, copy=False)
+    if not phys.keys:
+        return pd.DataFrame({name: [states[name].agg(fn)] for name, fn in how.items()})
+    groups = states.groupby(phys.keys, sort=False)
+    by_fn: dict[str, list] = {}
+    for name, fn in how.items():
+        by_fn.setdefault(fn, []).append(name)
+    reduced = pd.concat([getattr(groups[cols], fn)() for fn, cols in by_fn.items()], axis=1)
+    return reduced[list(how)].reset_index()
 
 
 def execute_fragment(
@@ -114,24 +127,19 @@ def execute_fragment(
             batch = pd.DataFrame(out)
         parts.append(batch)
 
-    if parts:
-        rows = pd.concat(parts, ignore_index=True)
-    else:  # fully pruned worker: correct empty frame, columns included
-        empty = scan.empty_table().to_pandas()
-        if phys.projections is not None:
-            cols = list(phys.projections) + [k for k in phys.keys if k not in phys.projections]
-            rows = pd.DataFrame({c: pd.Series(dtype="float64") for c in cols})
-        else:
-            rows = empty
-
-    partial = _partial_aggregate(rows, phys) if phys.aggs else rows
+    rows = pd.concat(parts, ignore_index=True) if parts else None
+    if rows is None or (phys.aggs and rows.empty):
+        # fully pruned or filtered out: a typed empty frame, columns included
+        partial = partial_schema(phys, scan.empty_table().schema).empty_table().to_pandas()
+    else:
+        partial = _partial_aggregate(rows, phys) if phys.aggs else rows
     m = WorkerMetrics(
         worker_id=worker_id,
         n_files=len(files),
         row_groups_total=scan.metrics.row_groups_total,
         row_groups_scanned=scan.metrics.row_groups_scanned,
         rows_read=scan.metrics.rows_read,
-        rows_out=int(len(rows)),
+        rows_out=0 if rows is None else len(rows),
         compressed_bytes=scan.metrics.compressed_bytes,
         uncompressed_bytes=scan.metrics.uncompressed_bytes,
         wall_time_s=time.monotonic() - t0,

@@ -1,17 +1,27 @@
 """Lambada engine end-to-end: oracle-checked results, worker accounting,
 error reporting. Q1/Q6 run once (session fixtures); extra runs here vary the
 worker count and failure modes."""
+import time
+from pathlib import Path
+
+import pandas as pd
 import pytest
 
 from repro import oracle
+from repro.core import compile as qc
 from repro.core import engine, queries
+from repro.core.expr import col, lit
 from repro.core.frontend import Lambada
+from repro.core.metrics import WorkerMetrics
+from repro.core.plan import AggSpec
+from repro.core.worker import execute_fragment
+from repro.sim import experiments as X
 
 
 class TestQ1:
     def test_result_matches_duckdb(self, mq1, lineitem_ds):
         _, pdf = lineitem_ds
-        oracle.assert_equivalent(mq1.result.spark_df, queries.Q1_SQL, lineitem=pdf)
+        oracle.assert_equivalent(mq1.result.result, queries.Q1_SQL, lineitem=pdf)
 
     def test_one_worker_per_file(self, mq1):
         assert mq1.result.n_workers == 16
@@ -45,7 +55,7 @@ class TestQ1:
 class TestQ6:
     def test_result_matches_duckdb(self, mq6, lineitem_ds):
         _, pdf = lineitem_ds
-        oracle.assert_equivalent(mq6.result.spark_df, queries.Q6_SQL, lineitem=pdf)
+        oracle.assert_equivalent(mq6.result.result, queries.Q6_SQL, lineitem=pdf)
 
     def test_selectivity_near_2_percent(self, mq6):
         """Paper: Q6 'selects only 2% of the relation'."""
@@ -77,14 +87,14 @@ class TestEngineMechanics:
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         res = engine.run_query(spark, store_root, queries.listing1(src), n_workers=4)
-        oracle.assert_equivalent(res.spark_df, queries.LISTING1_SQL, lineitem=pdf)
+        oracle.assert_equivalent(res.result, queries.LISTING1_SQL, lineitem=pdf)
 
     def test_fewer_workers_than_files(self, spark, store_root, lineitem_ds):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         res = engine.run_query(spark, store_root, queries.q6(src), files_per_worker=4)
         assert res.n_workers == 4
-        oracle.assert_equivalent(res.spark_df, queries.Q6_SQL, lineitem=pdf)
+        oracle.assert_equivalent(res.result, queries.Q6_SQL, lineitem=pdf)
 
     def test_worker_count_capped_at_files(self, spark, store_root, lineitem_ds):
         info, _ = lineitem_ds
@@ -119,7 +129,171 @@ class TestEngineMechanics:
         with pytest.raises(FileNotFoundError):
             Lambada(store_root).from_parquet("data", "nothing-here")
 
-    def test_driver_final_agg_uses_spark(self, mq1):
-        # the driver scope is a Spark DataFrame (Catalyst plan), not pandas
-        assert mq1.result.spark_df.schema is not None
-        assert "count_order" in mq1.result.spark_df.columns
+    def test_driver_scope_combines_collected_partials(self, mq1, store_root):
+        """The driver scope runs in pandas on the driver: the result is the
+        driver-side combine of exactly the partial rows the workers return."""
+        res = mq1.result
+        assert isinstance(res.result, pd.DataFrame)
+        assert not hasattr(res, "spark_df")
+        phys = qc.compile_plan(queries.q1(Lambada(store_root).from_files(mq1.info.files)).plan)
+        n = res.n_workers
+        partials = pd.concat(
+            [execute_fragment(store_root, w, phys.files[w::n], phys)[0] for w in range(n)],
+            ignore_index=True,
+        )
+        recombined = engine._final_aggregation(partials, phys)
+        assert list(recombined.columns) == list(res.result.columns)
+        by_keys = ["l_returnflag", "l_linestatus"]
+        pd.testing.assert_frame_equal(
+            recombined.sort_values(by_keys).reset_index(drop=True),
+            res.result.sort_values(by_keys).reset_index(drop=True),
+        )
+
+    def test_empty_file_list_rejected_before_spark(self, spark, store_root):
+        sc = spark.sparkContext
+        sc.setJobGroup("empty-file-list", "run_query over no files")
+        try:
+            src = Lambada(store_root).from_files([])
+            with pytest.raises(ValueError, match="no files"):
+                engine.run_query(spark, store_root, queries.q6(src))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert sc.statusTracker().getJobIdsForGroup("empty-file-list") == []
+
+
+def _spark_counts(sc, group: str, timeout_s: float = 10.0) -> tuple[int, list]:
+    """(jobs, tasks per stage) that ran under ``group``, once the status
+    tracker has caught up with the finished jobs."""
+    st = sc.statusTracker()
+    deadline = time.monotonic() + timeout_s
+    while True:
+        jobs = [st.getJobInfo(j) for j in st.getJobIdsForGroup(group)]
+        stages = [st.getStageInfo(s) for job in jobs if job for s in job.stageIds]
+        done = all(j and j.status == "SUCCEEDED" for j in jobs) and all(stages)
+        if done or time.monotonic() > deadline:
+            return len(jobs), [s.numCompletedTasks for s in stages if s]
+        time.sleep(0.05)
+
+
+class TestPackedDispatch:
+    """Workers are packed into one Spark task per core; each still runs
+    alone and reports for itself."""
+
+    @pytest.mark.parametrize("n_workers", [3, 16])
+    def test_one_job_one_stage_one_task_per_core(
+        self, spark, store_root, lineitem_ds, n_workers
+    ):
+        info, _ = lineitem_ds
+        sc = spark.sparkContext
+        group = f"packed-{n_workers}"
+        src = Lambada(store_root).from_files(info.files)
+        sc.setJobGroup(group, "packed dispatch")
+        try:
+            res = engine.run_query(spark, store_root, queries.q1(src), n_workers=n_workers)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert res.n_workers == n_workers
+        jobs, tasks = _spark_counts(sc, group)
+        assert jobs == 1
+        assert tasks == [min(n_workers, sc.defaultParallelism)]
+
+    @pytest.mark.parametrize("n_workers", [1, 3, 5, 16])
+    @pytest.mark.parametrize("qname", ["q1", "q6"])
+    def test_uneven_packing_matches_duckdb(
+        self, spark, store_root, lineitem_ds, qname, n_workers
+    ):
+        info, pdf = lineitem_ds
+        build, sql, _ = X.QUERIES[qname]
+        src = Lambada(store_root).from_files(info.files)
+        res = engine.run_query(spark, store_root, build(src), n_workers=n_workers)
+        assert sorted(w.worker_id for w in res.metrics.workers) == list(range(n_workers))
+        oracle.assert_equivalent(res.result, sql, lineitem=pdf)
+
+    def test_failed_worker_isolated_within_its_task(self, spark, store_root, lineitem_ds):
+        """A worker whose input object is missing fails alone: the error
+        names only it, and every other worker, including those sharing its
+        Spark task, still posts its own report."""
+        info, _ = lineitem_ds
+        files = list(info.files)
+        files[5] = (files[5][0], "missing/part-5.parquet")
+        src = Lambada(store_root).from_files(files)
+        with pytest.raises(engine.WorkerError) as err:
+            engine.run_query(
+                spark, store_root, queries.q1(src), n_workers=16, run_id="missing-key"
+            )
+        assert str(err.value).startswith("worker 5: ")
+        assert str(err.value).count("worker ") == 1
+        qdir = Path(store_root) / engine.RESULT_BUCKET / "missing-key"
+        reports = {
+            m.worker_id: m
+            for m in (WorkerMetrics.from_json(p.read_text()) for p in qdir.glob("w*.json"))
+        }
+        assert sorted(reports) == list(range(16))
+        assert [w for w, m in reports.items() if m.status == "error"] == [5]
+        assert all(m.row_groups_total > 0 for w, m in reports.items() if w != 5)
+
+
+class TestDriverScope:
+    """Result shapes the workers' partial rows and the driver-side combine
+    must both get right."""
+
+    def test_row_output_matches_duckdb(self, spark, store_root, lineitem_ds):
+        """Plans without aggregation return the workers' rows: the filtered
+        scan columns, and the projected columns."""
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        rare = (col("l_quantity") < 3) & (col("l_discount") > 0.08)
+        where = "WHERE l_quantity < 3 AND l_discount > 0.08"
+        res = engine.run_query(spark, store_root, src.filter(rare), n_workers=5)
+        oracle.assert_equivalent(
+            res.result, f"SELECT l_discount, l_quantity FROM lineitem {where}", lineitem=pdf
+        )
+        mapped = src.filter(rare).map(q2=col("l_quantity") * 2, d=col("l_discount") + 1)
+        res = engine.run_query(spark, store_root, mapped, n_workers=5)
+        oracle.assert_equivalent(
+            res.result,
+            f"SELECT l_quantity * 2 AS q2, l_discount + 1 AS d FROM lineitem {where}",
+            lineitem=pdf,
+        )
+
+    def test_single_key_group_by_matches_duckdb(self, spark, store_root, lineitem_ds):
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        plan = src.aggregate(
+            ["l_returnflag"], [AggSpec("n", "count"), AggSpec("hi", "max", col("l_tax"))]
+        )
+        res = engine.run_query(spark, store_root, plan, n_workers=3)
+        oracle.assert_equivalent(
+            res.result,
+            "SELECT l_returnflag, count(*) AS n, max(l_tax) AS hi FROM lineitem "
+            "GROUP BY l_returnflag",
+            lineitem=pdf,
+        )
+
+    @pytest.mark.parametrize("keys", [[], ["l_returnflag"]], ids=["global", "grouped"])
+    def test_every_row_group_pruned_matches_duckdb(self, spark, store_root, lineitem_ds, keys):
+        """Every worker returns a typed empty frame; the driver scope then
+        gives SQL's answer: no groups, or one row with COUNT 0 and NULLs."""
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        plan = src.filter(col("l_shipdate") > lit("2100-01-01")).aggregate(
+            keys,
+            [
+                AggSpec("n", "count"),
+                AggSpec("s", "sum", col("l_quantity")),
+                AggSpec("a", "avg", col("l_discount")),
+                AggSpec("lo", "min", col("l_tax")),
+            ],
+        )
+        res = engine.run_query(spark, store_root, plan, n_workers=5)
+        assert res.metrics.n_pruned == 5
+        select = "".join(f"{k}, " for k in keys)
+        oracle.assert_equivalent(
+            res.result,
+            f"SELECT {select}count(*) AS n, sum(l_quantity) AS s, avg(l_discount) AS a, "
+            "min(l_tax) AS lo FROM lineitem "
+            f"WHERE l_shipdate > TIMESTAMP '2100-01-01 00:00:00' "
+            + (f"GROUP BY {', '.join(keys)}" if keys else ""),
+            lineitem=pdf,
+        )
+        assert len(res.result) == (0 if keys else 1)
