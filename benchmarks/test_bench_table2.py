@@ -32,4 +32,5 @@ def test_bench_table2_exchange(benchmark, spark, xdata, tmp_path_factory, spec):
     exp = alg.expected_requests(P, spec)
     assert rep.ledger.puts == exp["puts"]
     assert rep.ledger.gets == exp["gets"]
+    assert rep.ledger.lists == exp["lists"]
     assert rep.output_rows == 600_000

@@ -1,10 +1,10 @@
 """Lambada driver and execution engine (paper §3, Fig 3).
 
 The driver compiles the plan, assigns input files to serverless workers,
-"invokes" them through ``DataFrame.mapInPandas`` (the reproduction's
-function-per-fragment scheduler), and collects results through shared
-storage only. Workers are packed into one Spark task per core; each still
-runs alone, with its own S3 client and request ledger, and posts its own
+"invokes" them through :func:`repro.faas.dispatch.invoke` (the
+reproduction's function-per-fragment scheduler), and collects results through
+shared storage only. Workers are packed into one Spark task per core; each
+still runs alone, with its own S3 client and request ledger, and posts its own
 success/error message + metrics into a result queue (the ``qresults``
 bucket, standing in for SQS), so one failed worker does not stop the others
 in its task. Partial rows come back as task output, and the driver scope
@@ -26,6 +26,7 @@ import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 from pyspark.sql.pandas.types import from_arrow_schema
 
+from ..faas.dispatch import invoke
 from ..s3.store import S3Client, S3Store
 from ..scan.s3file import S3RandomAccessFile
 from . import compile as qc
@@ -123,31 +124,25 @@ def run_query(
     arrow = _arrow_schema(store_root, phys.files[0])
     out_schema = from_arrow_schema(partial_schema(phys, arrow))
 
-    def _run_workers(batches):
-        for batch in batches:
-            for wid in batch["id"].tolist():
-                try:
-                    partial, m = execute_fragment(
-                        store_root,
-                        wid,
-                        phys.files[wid::n_workers],
-                        phys,
-                        chunk_bytes=chunk_bytes,
-                        footer_hint=footer_hint,
-                        memory_limit_mib=memory_limit_mib,
-                    )
-                except Exception as e:  # report instead of dying silently
-                    partial = None
-                    m = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
-                queue = S3Client(store_root)  # result-queue client (SQS stand-in)
-                queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
-                if partial is not None:
-                    yield partial
+    def _run_worker(wid):
+        try:
+            partial, m = execute_fragment(
+                store_root,
+                wid,
+                phys.files[wid::n_workers],
+                phys,
+                chunk_bytes=chunk_bytes,
+                footer_hint=footer_hint,
+                memory_limit_mib=memory_limit_mib,
+            )
+        except Exception as e:  # report instead of dying silently
+            partial = None
+            m = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
+        queue = S3Client(store_root)  # result-queue client (SQS stand-in)
+        queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
+        return partial
 
-    # one Spark task per core; each runs its share of the workers in turn
-    n_tasks = min(n_workers, spark.sparkContext.defaultParallelism)
-    tasks = spark.range(n_workers, numPartitions=n_tasks)
-    partials = tasks.mapInPandas(_run_workers, schema=out_schema).toPandas()
+    partials = invoke(spark, n_workers, _run_worker, out_schema).toPandas()
 
     # driver polls the result queue until it heard back from all workers
     qdir = Path(store_root) / RESULT_BUCKET / run_id

@@ -87,9 +87,9 @@ def from_coords(cs, dims) -> int:
     return x
 
 
-def level_coord(x: int, dims: tuple[int, ...], level: int) -> int:
-    """The ``level``-th coordinate of ID ``x`` (the routing target)."""
-    return coords(x, dims)[level]
+def level_coord(x, dims: tuple[int, ...], level: int):
+    """The ``level``-th coordinate of an ID or numpy array of IDs (the routing target)."""
+    return (x // math.prod(dims[:level])) % dims[level]
 
 
 def group_id(p: int, dims: tuple[int, ...], level: int) -> int:

@@ -1,42 +1,46 @@
 """Spark-phased executor for the S3 exchange operators (paper §4.4, Alg 1-2).
 
-Every level of the exchange is one Spark job whose tasks are the serverless
-workers (``groupBy(worker).applyInPandas``); **all data moves through the
-simulated S3, never through Spark's own shuffle**, reproducing the paper's
-communication topology. The Spark action at the end of each phase is the
-barrier that the paper realises by polling S3 until all senders' files exist.
+Every level of the exchange is one Spark job whose tasks run the serverless
+workers (:func:`repro.faas.dispatch.invoke`, which runs empty workers too);
+**all data moves through the simulated S3, never through Spark's own
+shuffle**, reproducing the paper's communication topology. The Spark action
+at the end of each phase is the barrier that the paper realises by polling
+S3 until all senders' files exist.
 
 Phases for a k-level exchange:
 
   0. *distribute*: each source worker writes its input share R_p ("in/w{p}");
-  1..k. *level l*: every worker (``spark.range(P)`` keeps empty workers
-     alive) reads the level-(l-1) files addressed to it (or its input share),
-     partitions the rows by the level-l coordinate of their partition ID, and
-     writes one file per group member (or one combined file under write
-     combining — offsets in the key, discovered via LIST);
+  1..k. *level l*: every worker reads the level-(l-1) files addressed to it
+     (or its input share), partitions the rows by the level-l coordinate of
+     their partition ID, and writes one file per group member (or one
+     combined file under write combining — offsets in the key, discovered
+     via LIST);
   k+1. *collect*: every worker reads its final files and returns the rows,
      which must now all satisfy ``partition_id == worker_id``.
 
-Per-phase request ledgers are written to a side channel (not billed — it
-stands outside the algorithm) and summed into an :class:`ExchangeReport`,
-which tests assert equals :func:`algorithms.expected_requests` exactly.
+Every worker adds its request ledger to its phase's Spark accumulator; the
+input share's PUT and GET go to a separate input ledger (the "scan"). The
+sums form an :class:`ExchangeReport`, which tests assert equals
+:func:`algorithms.expected_requests` exactly.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import uuid
-from pathlib import Path
 
+import numpy as np
 import pandas as pd
+from pyspark.accumulators import AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 
+from ..faas.dispatch import invoke
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
-
-META_BUCKET = "xmeta"
 
 
 @dataclasses.dataclass
@@ -52,26 +56,15 @@ class ExchangeReport:
     input_ledger: Ledger  # the distribute/read-input traffic (the "scan")
     per_phase: list  # Ledger per level phase
 
-    @property
-    def requests(self) -> dict:
-        return {"puts": self.ledger.puts, "gets": self.ledger.gets, "lists": self.ledger.lists}
 
+class _LedgerSum(AccumulatorParam):
+    """Spark accumulator of the :class:`Ledger` every worker adds."""
 
-def _meta_dir(store_root: str, run_id: str) -> Path:
-    d = Path(store_root) / META_BUCKET / run_id
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    def zero(self, value):
+        return Ledger()
 
-
-def _write_side_ledger(store_root: str, run_id: str, phase: str, worker: int, ledger: Ledger):
-    # side channel: raw file write, not an S3 request of the algorithm
-    p = _meta_dir(store_root, run_id) / f"{phase}-w{worker}.json"
-    p.write_text(ledger.to_json())
-
-
-def _read_side_ledgers(store_root: str, run_id: str, phase: str) -> list[Ledger]:
-    d = _meta_dir(store_root, run_id)
-    return [Ledger.from_json(p.read_text()) for p in sorted(d.glob(f"{phase}-w*.json"))]
+    def addInPlace(self, a, b):
+        return a.merge(b)
 
 
 def _read_level_files(
@@ -129,11 +122,10 @@ def _write_level_files(
     gid = alg.group_id(p, dims, level)
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
     me = alg.level_coord(p, dims, level)
-    target = rows["pid"].map(lambda x: alg.level_coord(int(x), dims, level)) if len(rows) else None
-    parts = []
-    for v in range(d):
-        part = rows[target == v] if len(rows) else rows
-        parts.append(serde.frame_to_bytes(part))
+    target = alg.level_coord(rows["pid"].to_numpy(), dims, level)
+    order = np.argsort(target, kind="stable")
+    cuts = np.searchsorted(target[order], np.arange(d + 1))
+    parts = [serde.frame_to_bytes(rows.iloc[order[a:b]]) for a, b in zip(cuts, cuts[1:])]
     if spec.write_combining:
         blob, lengths = serde.combine(parts)
         if spec.offsets_mode == "filename":
@@ -170,8 +162,9 @@ def run_exchange(
     dims = alg.grid_dims(n_workers, spec.levels)
     for b in naming.exchange_buckets(spec.n_buckets):
         store.create_bucket(b)
-    store.create_bucket(META_BUCKET)
     root = str(store.root)
+    sc = spark.sparkContext
+    input_acc = sc.accumulator(Ledger(), _LedgerSum())
 
     # partition ID and source-worker assignment (both hash-based, as in Alg 1)
     df2 = df.withColumn(
@@ -179,7 +172,7 @@ def run_exchange(
     ).withColumn(
         "src", F.pmod(F.xxhash64(F.col(key_col), F.lit(run_id)), F.lit(n_workers)).cast("int")
     )
-    template = serde.frame_to_bytes(df2.drop("src").limit(0).toPandas())
+    empty = to_arrow_schema(df2.drop("src").schema).empty_table().to_pandas()
     in_bucket = naming.bucket_for_group(0, spec.n_buckets)
 
     # ---- phase 0: distribute input shares (the relation R of Algorithm 1)
@@ -187,99 +180,66 @@ def run_exchange(
         p = int(key[0])
         client = S3Client(root)
         client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(pdf.drop(columns=["src"])))
-        _write_side_ledger(root, run_id, "in", p, client.ledger)
-        return pd.DataFrame({"worker": [p], "rows": [len(pdf)]})
+        input_acc.add(client.ledger)
+        return pd.DataFrame({"rows": [len(pdf)]})
 
-    n_in = (
-        df2.groupBy("src")
-        .applyInPandas(_distribute, schema="worker int, rows long")
-        .agg(F.sum("rows"))
-        .collect()[0][0]
-    )
+    shares = df2.groupBy("src").applyInPandas(_distribute, schema="rows long").collect()
+    n_in = sum(r.rows for r in shares)
 
-    workers = spark.range(n_workers).withColumnRenamed("id", "worker")
-
-    # ---- level phases: read previous, partition, write this level
-    def _level_phase(level):
-        def fn(key, pdf):
-            p = int(key[0])
-            client = S3Client(root)
-            if level == 0:
-                try:
-                    rows = serde.bytes_to_frame(client.get(in_bucket, naming.input_key(run_id, p)))
-                    input_gets = 1
-                except NoSuchKey:  # source worker had no rows: nothing billed
-                    rows = serde.bytes_to_frame(template)
-                    input_gets = 0
-            else:
-                frames = _read_level_files(client, run_id, level - 1, p, dims, spec)
-                rows = (
-                    pd.concat(frames, ignore_index=True)
-                    if frames
-                    else serde.bytes_to_frame(template)
-                )
-                input_gets = 0
-            _write_level_files(client, run_id, level, p, dims, spec, rows)
-            # split the ledger: the phase-0 input GET belongs to the scan,
-            # not to the exchange accounting
-            if input_gets:
-                inl = Ledger()
-                inl.record("gets", in_bucket, 0)
-                inl.gets = input_gets
-                client.ledger.gets -= input_gets
-                client.ledger.per_bucket[in_bucket]["gets"] -= input_gets
-                _write_side_ledger(root, run_id, "inget", p, inl)
-            _write_side_ledger(root, run_id, f"lvl{level}", p, client.ledger)
-            return pd.DataFrame({"worker": [p], "rows": [len(rows)]})
-
-        return fn
-
-    for level in range(spec.levels):
-        workers.groupBy("worker").applyInPandas(
-            _level_phase(level), schema="worker int, rows long"
-        ).count()  # the action is the barrier
-
-    # ---- collect phase: read the final level's files
-    out_schema = df2.drop("src").withColumn("worker", F.lit(0)).schema
-
-    def _collect(key, pdf):
-        p = int(key[0])
-        client = S3Client(root)
-        frames = _read_level_files(client, run_id, spec.levels - 1, p, dims, spec)
-        rows = pd.concat(frames, ignore_index=True) if frames else serde.bytes_to_frame(template)
-        _write_side_ledger(root, run_id, "collect", p, client.ledger)
-        rows["worker"] = p
+    def _read_input(p):
+        client = S3Client(root)  # the input GET belongs to the scan, not the exchange
+        try:
+            rows = serde.bytes_to_frame(client.get(in_bucket, naming.input_key(run_id, p)))
+        except NoSuchKey:  # source worker had no rows: nothing billed
+            rows = empty
+        input_acc.add(client.ledger)
         return rows
 
-    out = workers.groupBy("worker").applyInPandas(_collect, schema=out_schema)
-    out = out.cache()
-    n_out = out.count()
+    def _received(client, level, p):
+        frames = _read_level_files(client, run_id, level, p, dims, spec)
+        return pd.concat(frames, ignore_index=True) if frames else empty
 
-    # ---- accounting
-    input_ledger = Ledger()
-    for led in _read_side_ledgers(root, run_id, "in") + _read_side_ledgers(root, run_id, "inget"):
-        input_ledger.merge(led)
-    total = Ledger()
+    # ---- level phases: read previous, partition, write this level
     per_phase = []
     for level in range(spec.levels):
-        phase = Ledger()
-        for led in _read_side_ledgers(root, run_id, f"lvl{level}"):
-            phase.merge(led)
-        per_phase.append(phase)
-        total.merge(phase)
-    collect_ledger = Ledger()
-    for led in _read_side_ledgers(root, run_id, "collect"):
-        collect_ledger.merge(led)
-    total.merge(collect_ledger)
+        acc = sc.accumulator(Ledger(), _LedgerSum())
 
+        def _level(p, level=level, acc=acc):
+            client = S3Client(root)
+            rows = _read_input(p) if level == 0 else _received(client, level - 1, p)
+            _write_level_files(client, run_id, level, p, dims, spec, rows)
+            acc.add(client.ledger)
+
+        # workers return no rows; the action is the barrier
+        invoke(spark, n_workers, _level, "worker int").collect()
+        per_phase.append(acc.value)
+
+    # ---- collect phase: read the final level's files
+    collect_acc = sc.accumulator(Ledger(), _LedgerSum())
+    n_out = sc.accumulator(0)
+
+    def _collect(p):
+        client = S3Client(root)
+        rows = _received(client, spec.levels - 1, p).assign(worker=p)
+        collect_acc.add(client.ledger)
+        n_out.add(len(rows))
+        return rows
+
+    out_schema = df2.drop("src").withColumn("worker", F.lit(0)).schema
+    out = invoke(spark, n_workers, _collect, out_schema).cache()
+    # the action fills the cache and checks that every row is on its partition
+    if out.where(out.pid != out.worker).collect():
+        raise RuntimeError("the exchange left rows on a worker other than their partition's")
+
+    total = functools.reduce(Ledger.merge, [*per_phase, collect_acc.value], Ledger())
     report = ExchangeReport(
         spec=spec,
         n_workers=n_workers,
         dims=dims,
-        input_rows=int(n_in or 0),
-        output_rows=int(n_out),
+        input_rows=n_in,
+        output_rows=n_out.value,
         ledger=total,
-        input_ledger=input_ledger,
+        input_ledger=input_acc.value,
         per_phase=per_phase,
     )
     return out, report

@@ -2,9 +2,9 @@
 
 The paper's claims about S3 concern *requests* — their count, price, and
 per-bucket rate limits — plus per-worker bandwidth. This store provides the
-functional surface Lambada needs (atomic PUT, ranged GET, prefix LIST, HEAD,
-poll-until-exists) and a per-client :class:`Ledger` that records every request
-so experiments can account costs exactly. Bandwidth/latency are *not* enforced
+functional surface Lambada needs (atomic PUT, ranged GET, prefix LIST, HEAD)
+and a per-client :class:`Ledger` that records every request so experiments
+can account costs exactly. Bandwidth/latency are *not* enforced
 in wall-clock; they are applied by the simulation layer (``repro.sim``) from
 the ledgers.
 
@@ -20,7 +20,6 @@ import json
 import os
 import re
 import tempfile
-import time
 import uuid
 from pathlib import Path
 
@@ -131,8 +130,7 @@ class S3Client:
     # -- requests --------------------------------------------------------
     def put(self, bucket: str, key: str, data: bytes) -> None:
         """PUT an object. Atomic (write-then-rename): a concurrent reader
-        polling for the key either misses it or sees the full object — the
-        property BasicExchange's poll-until-exists loop relies on."""
+        either misses the key or sees the full object."""
         path = self._path(bucket, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-" + uuid.uuid4().hex)
@@ -192,23 +190,7 @@ class S3Client:
         self.ledger.record("deletes", bucket)
 
     def exists(self, bucket: str, key: str) -> bool:
-        """Existence probe, billed as a HEAD (used by poll-until-exists)."""
+        """Existence probe, billed as a HEAD."""
         ok = self._path(bucket, key).is_file()
         self.ledger.record("heads", bucket)
         return ok
-
-    def get_when_available(
-        self, bucket: str, key: str, *, timeout_s: float = 10.0, poll_s: float = 0.005
-    ) -> bytes:
-        """Repeat GET until the object exists (paper §4.4.1: 'the receiver
-        must repeat reading a file until that file exists'). Each failed
-        attempt is billed as a GET like a real 404'd request would be."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                return self.get(bucket, key)
-            except NoSuchKey:
-                self.ledger.record("gets", bucket)  # failed GET still billed
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(poll_s)

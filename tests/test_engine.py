@@ -1,7 +1,6 @@
 """Lambada engine end-to-end: oracle-checked results, worker accounting,
 error reporting. Q1/Q6 run once (session fixtures); extra runs here vary the
 worker count and failure modes."""
-import time
 from pathlib import Path
 
 import pandas as pd
@@ -161,27 +160,13 @@ class TestEngineMechanics:
         assert sc.statusTracker().getJobIdsForGroup("empty-file-list") == []
 
 
-def _spark_counts(sc, group: str, timeout_s: float = 10.0) -> tuple[int, list]:
-    """(jobs, tasks per stage) that ran under ``group``, once the status
-    tracker has caught up with the finished jobs."""
-    st = sc.statusTracker()
-    deadline = time.monotonic() + timeout_s
-    while True:
-        jobs = [st.getJobInfo(j) for j in st.getJobIdsForGroup(group)]
-        stages = [st.getStageInfo(s) for job in jobs if job for s in job.stageIds]
-        done = all(j and j.status == "SUCCEEDED" for j in jobs) and all(stages)
-        if done or time.monotonic() > deadline:
-            return len(jobs), [s.numCompletedTasks for s in stages if s]
-        time.sleep(0.05)
-
-
 class TestPackedDispatch:
     """Workers are packed into one Spark task per core; each still runs
     alone and reports for itself."""
 
     @pytest.mark.parametrize("n_workers", [3, 16])
     def test_one_job_one_stage_one_task_per_core(
-        self, spark, store_root, lineitem_ds, n_workers
+        self, spark, spark_jobs, store_root, lineitem_ds, n_workers
     ):
         info, _ = lineitem_ds
         sc = spark.sparkContext
@@ -193,9 +178,7 @@ class TestPackedDispatch:
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert res.n_workers == n_workers
-        jobs, tasks = _spark_counts(sc, group)
-        assert jobs == 1
-        assert tasks == [min(n_workers, sc.defaultParallelism)]
+        assert spark_jobs(group) == [[min(n_workers, sc.defaultParallelism)]]
 
     @pytest.mark.parametrize("n_workers", [1, 3, 5, 16])
     @pytest.mark.parametrize("qname", ["q1", "q6"])

@@ -88,9 +88,33 @@ class TestDetails:
         assert rep.output_rows == rep.input_rows == 8000
 
     def test_input_io_separated_from_exchange(self, spark, xinput, xstore):
-        _, rep, _ = _run(spark, xinput, xstore, alg.ExchangeSpec(1, False), 8)
-        assert rep.input_ledger.puts >= 1  # distribute phase
-        assert rep.input_ledger.gets >= 1  # input-share reads
+        """The input share is PUT once and read back whole by one GET, and
+        neither request lands in the exchange ledger."""
+        for spec in SPECS:
+            _, rep, _ = _run(spark, xinput, xstore, spec, TestAllVariants.P[spec.levels])
+            assert rep.input_ledger.puts >= 1
+            assert rep.input_ledger.gets == rep.input_ledger.puts
+            assert rep.input_ledger.bytes_read == rep.input_ledger.bytes_written > 0
+            if spec.offsets_mode != "sidecar":  # every part written once, read once
+                assert rep.ledger.bytes_read == rep.ledger.bytes_written
+
+    def test_levels_and_collect_are_one_packed_stage_each(
+        self, spark, spark_jobs, xinput, xstore
+    ):
+        """As in the query engine: every level and the collect run as one
+        Spark job of one stage with one task per core (no shuffle)."""
+        spec, P = alg.ExchangeSpec(2, True), 16
+        sc = spark.sparkContext
+        sc.setJobGroup("exchange-dispatch", "packed exchange phases")
+        try:
+            out, rep = runner.run_exchange(spark, xinput[0], P, spec, xstore)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert rep.output_rows == rep.input_rows == 8000
+        n_tasks = min(P, sc.defaultParallelism)
+        assert spark_jobs("exchange-dispatch")[-(spec.levels + 1):] == [[n_tasks]] * (
+            spec.levels + 1
+        )
 
     def test_single_worker_degenerate(self, spark, xinput, xstore):
         out, rep, in_pdf = _run(spark, xinput, xstore, alg.ExchangeSpec(1, True), 1)

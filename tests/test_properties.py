@@ -38,6 +38,16 @@ class TestGridProperties:
             )
         assert holder == pid
 
+    @given(p=st.integers(1, 800), levels=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_level_coord_of_an_array_matches_coords(self, p, levels, seed):
+        """The runner routes a whole column of partition IDs at once."""
+        dims = alg.grid_dims(p, levels)
+        pids = np.random.default_rng(seed).integers(0, p, 64, dtype=np.int32)
+        for lvl in range(levels):
+            got = alg.level_coord(pids, dims, lvl)
+            assert got.tolist() == [alg.coords(int(x), dims)[lvl] for x in pids]
+
     @given(p=st.integers(2, 400), levels=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_groups_partition_workers_at_every_level(self, p, levels):
