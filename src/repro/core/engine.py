@@ -32,7 +32,7 @@ from ..scan.s3file import S3RandomAccessFile
 from . import compile as qc
 from . import frontend
 from .metrics import QueryMetrics, WorkerMetrics
-from .worker import execute_fragment, partial_schema
+from .worker import execute_fragment, partial_schema, reduce_states
 
 RESULT_BUCKET = "qresults"
 
@@ -64,21 +64,13 @@ def _final_aggregation(partials: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.Dat
     """Driver scope: combine the workers' partial states in pandas."""
     if not phys.aggs:
         return partials
-    states = [c for c in phys.partial_schema() if c.kind != "key"]
-    if phys.keys:
-        how = {c.name: "sum" if c.kind == "count" else c.kind for c in states}
-        merged = partials.groupby(phys.keys, sort=False).agg(how).reset_index()
-    else:  # one row, as in SQL: COUNT over no rows is 0, SUM/MIN/MAX are NULL
-        merged = pd.DataFrame(
-            {
-                c.name: [
-                    getattr(partials[c.name], c.kind)()
-                    if c.kind in ("min", "max")
-                    else partials[c.name].sum(min_count=int(c.kind == "sum"))
-                ]
-                for c in states
-            }
-        )
+    # COUNT over no rows is 0; SUM/AVG/MIN/MAX over no values are NULL
+    how = {
+        c.name: "total" if c.kind == "count" else c.kind
+        for c in phys.partial_schema()
+        if c.kind != "key"
+    }
+    merged = reduce_states(partials, phys.keys, how)
     out = merged[phys.keys].copy()
     for a in phys.aggs:
         if a.fn == "avg":

@@ -52,31 +52,49 @@ def partial_schema(phys: qc.PhysicalQuery, source: pa.Schema) -> pa.Schema:
     return pa.schema(field(n) for n in phys.scan_columns or source.names)
 
 
-def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
-    """Partial aggregation states for one worker's (non-empty) rows.
+def _reduce(obj, fn: str):
+    if fn == "sum":
+        return obj.sum(min_count=1)
+    return obj.sum() if fn == "total" else getattr(obj, fn)()
 
-    Each aggregate expression is evaluated once over the whole batch; one
-    groupby then computes every state, one reduction per function over all
-    the columns it applies to (without keys: one reduce per column). Counts
-    and avg's ``__cnt`` count rows, nulls included.
+
+def reduce_states(states: pd.DataFrame, keys: list, how: dict) -> pd.DataFrame:
+    """``states`` reduced per group of ``keys`` (to one row without keys).
+
+    ``how`` maps each column to "sum" (NULL when no value is present),
+    "total" (a sum that is 0 over no rows), "count" (of non-null values),
+    "min" or "max". One groupby makes one reduction per function over all
+    the columns it applies to. Workers and the driver scope both reduce here.
     """
-    values, how = {k: df[k] for k in phys.keys}, {}
-    for a in phys.aggs:
-        if a.fn != "count":
-            name = a.out_name + "__sum" if a.fn == "avg" else a.out_name
-            values[name], how[name] = a.expr.eval(df), "sum" if a.fn == "avg" else a.fn
-        if a.fn in ("count", "avg"):
-            name = a.out_name + "__cnt" if a.fn == "avg" else a.out_name
-            values[name], how[name] = 1, "sum"
-    states = pd.DataFrame(values, index=df.index, copy=False)
-    if not phys.keys:
-        return pd.DataFrame({name: [states[name].agg(fn)] for name, fn in how.items()})
-    groups = states.groupby(phys.keys, sort=False)
+    if not keys:
+        return pd.DataFrame({name: [_reduce(states[name], fn)] for name, fn in how.items()})
+    groups = states.groupby(keys, sort=False)
     by_fn: dict[str, list] = {}
     for name, fn in how.items():
         by_fn.setdefault(fn, []).append(name)
-    reduced = pd.concat([getattr(groups[cols], fn)() for fn, cols in by_fn.items()], axis=1)
+    reduced = pd.concat([_reduce(groups[cols], fn) for fn, cols in by_fn.items()], axis=1)
     return reduced[list(how)].reset_index()
+
+
+def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
+    """Partial aggregation states for one worker's (non-empty) rows.
+
+    Each aggregate expression is evaluated once over the whole batch. Null
+    values are skipped as in SQL: a SUM (and avg's ``__sum``) over none is
+    NULL, and avg's ``__cnt`` counts non-null values; COUNT(*) counts rows.
+    """
+    values, how = {k: df[k] for k in phys.keys}, {}
+    for a in phys.aggs:
+        if a.fn == "count":
+            values[a.out_name], how[a.out_name] = 1, "total"
+            continue
+        v = a.expr.eval(df)
+        if a.fn == "avg":
+            values[a.out_name + "__sum"], how[a.out_name + "__sum"] = v, "sum"
+            values[a.out_name + "__cnt"], how[a.out_name + "__cnt"] = v, "count"
+        else:
+            values[a.out_name], how[a.out_name] = v, a.fn
+    return reduce_states(pd.DataFrame(values, index=df.index, copy=False), phys.keys, how)
 
 
 def execute_fragment(

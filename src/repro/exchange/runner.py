@@ -37,7 +37,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.pandas.types import to_arrow_schema
 
-from ..faas.dispatch import invoke
+from ..faas.dispatch import invoke, setup_worker
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
@@ -177,6 +177,7 @@ def run_exchange(
 
     # ---- phase 0: distribute input shares (the relation R of Algorithm 1)
     def _distribute(key, pdf):
+        setup_worker()
         p = int(key[0])
         client = S3Client(root)
         client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(pdf.drop(columns=["src"])))

@@ -1,9 +1,12 @@
 """Lambada engine end-to-end: oracle-checked results, worker accounting,
 error reporting. Q1/Q6 run once (session fixtures); extra runs here vary the
 worker count and failure modes."""
+import io
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from repro import oracle
@@ -15,6 +18,33 @@ from repro.core.metrics import WorkerMetrics
 from repro.core.plan import AggSpec
 from repro.core.worker import execute_fragment
 from repro.sim import experiments as X
+
+
+@pytest.fixture(scope="module")
+def null_files(store):
+    """Three small Parquet files with nulls, and the Arrow table they hold.
+
+    Group "none" has only null ``x``; group "some" has null and non-null
+    ``x`` (and is all-null within file 1); group "every" has no nulls;
+    ``z`` is null everywhere."""
+    parts = [
+        {"g": ["none", "none", "some", "every"], "x": [None, None, 1.5, 2.0]},
+        {"g": ["none", "some", "some", "every"], "x": [None, None, None, 4.0]},
+        {"g": ["some", "every"], "x": [3.0, 8.0]},
+    ]
+    store.create_bucket("nulls")
+    client, files, tables = store.client(), [], []
+    for i, part in enumerate(parts):
+        tbl = pa.table(
+            {**part, "z": pa.nulls(len(part["g"]), pa.float64())},
+            schema=pa.schema([("g", pa.string()), ("x", pa.float64()), ("z", pa.float64())]),
+        )
+        buf = io.BytesIO()
+        pq.write_table(tbl, buf)
+        client.put("nulls", f"part-{i}.parquet", buf.getvalue())
+        files.append(("nulls", f"part-{i}.parquet"))
+        tables.append(tbl)
+    return files, pa.concat_tables(tables)
 
 
 class TestQ1:
@@ -280,3 +310,29 @@ class TestDriverScope:
             lineitem=pdf,
         )
         assert len(res.result) == (0 if keys else 1)
+
+    @pytest.mark.parametrize("keys", [[], ["g"]], ids=["global", "grouped"])
+    def test_sql_null_semantics_match_duckdb(self, spark, store_root, null_files, keys):
+        """Nulls are skipped as in SQL: SUM and AVG over no values are NULL
+        (not 0), AVG divides by the non-null count, COUNT(*) counts rows."""
+        files, table = null_files
+        aggs = [
+            AggSpec("n", "count"),
+            AggSpec("s", "sum", col("x")),
+            AggSpec("a", "avg", col("x")),
+            AggSpec("lo", "min", col("x")),
+            AggSpec("hi", "max", col("x")),
+            AggSpec("zs", "sum", col("z")),
+            AggSpec("za", "avg", col("z")),
+        ]
+        plan = Lambada(store_root).from_files(files).aggregate(keys, aggs)
+        res = engine.run_query(spark, store_root, plan, n_workers=3)
+        select = "".join(f"{k}, " for k in keys)
+        oracle.assert_equivalent(
+            res.result,
+            f"SELECT {select}count(*) AS n, sum(x) AS s, avg(x) AS a, min(x) AS lo, "
+            "max(x) AS hi, sum(z) AS zs, avg(z) AS za FROM t "
+            + (f"GROUP BY {', '.join(keys)}" if keys else ""),
+            t=table,
+        )
+        assert len(res.result) == (3 if keys else 1)

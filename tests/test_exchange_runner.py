@@ -9,7 +9,7 @@ import pytest
 
 from repro import synth_data
 from repro.exchange import algorithms as alg
-from repro.exchange import runner
+from repro.exchange import naming, runner
 from repro.s3.store import S3Store
 
 SPECS = [
@@ -115,6 +115,29 @@ class TestDetails:
         assert spark_jobs("exchange-dispatch")[-(spec.levels + 1):] == [[n_tasks]] * (
             spec.levels + 1
         )
+
+    def test_source_workers_without_rows(self, spark, xstore):
+        """With fewer rows than workers some source workers get no input
+        share: they write none, read none and are billed nothing, and the
+        exchange still delivers every row and matches Table 2 exactly."""
+        spec, P = alg.ExchangeSpec(2, True), 16
+        in_pdf = pd.DataFrame({"k": [3, 3, 7, 11, 12, 40], "v": [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]})
+        out, rep = runner.run_exchange(
+            spark, spark.createDataFrame(in_pdf), P, spec, xstore, run_id="few-rows"
+        )
+        out = out.toPandas()
+        assert (out["pid"] == out["worker"]).all()
+        pd.testing.assert_frame_equal(
+            out[["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True), in_pdf
+        )
+        exp = alg.expected_requests(P, spec)
+        assert (rep.ledger.puts, rep.ledger.gets, rep.ledger.lists) == (
+            exp["puts"], exp["gets"], exp["lists"]
+        )
+        client, bucket = xstore.client(), naming.bucket_for_group(0, spec.n_buckets)
+        shares = sum(client.exists(bucket, naming.input_key("few-rows", p)) for p in range(P))
+        assert 0 < shares < P
+        assert rep.input_ledger.gets == rep.input_ledger.puts == shares
 
     def test_single_worker_degenerate(self, spark, xinput, xstore):
         out, rep, in_pdf = _run(spark, xinput, xstore, alg.ExchangeSpec(1, True), 1)

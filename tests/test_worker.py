@@ -2,9 +2,10 @@
 
 ``_partial_aggregate`` evaluates each aggregate expression once and makes one
 groupby call; ``_loop_reference`` is the per-group loop formulation, kept as
-the reference. Keys and counts must match exactly; float states may differ
-in the last bits only, because pandas' groupby sum compensates its rounding
-where the per-group ``Series.sum`` does not.
+the reference. Both follow SQL's null semantics. Keys and counts must match
+exactly; float states may differ in the last bits only, because pandas'
+groupby sum compensates its rounding where the per-group ``Series.sum`` does
+not.
 """
 import numpy as np
 import pandas as pd
@@ -42,12 +43,12 @@ def _loop_reference(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
         for a in phys.aggs:
             series = a.expr.eval(frame) if a.expr is not None else None
             if a.fn == "sum":
-                out[a.out_name] = series.sum()
+                out[a.out_name] = series.sum(min_count=1)
             elif a.fn == "count":
                 out[a.out_name] = len(frame)
             elif a.fn == "avg":
-                out[a.out_name + "__sum"] = series.sum()
-                out[a.out_name + "__cnt"] = len(frame)
+                out[a.out_name + "__sum"] = series.sum(min_count=1)
+                out[a.out_name + "__cnt"] = series.count()
             else:
                 out[a.out_name] = getattr(series, a.fn)()
         return out
@@ -90,8 +91,8 @@ class TestPartialAggregate:
         _assert_same(_partial_aggregate(df, phys), _loop_reference(df, phys))
 
     def test_null_semantics(self):
-        """An all-null group sums to 0.0 (pandas, not SQL), its min/max stay
-        null, and counts include null rows."""
+        """As in SQL: an all-null group's sum and min/max are null, avg's
+        count skips null values, and COUNT(*) counts every row."""
         df = pd.DataFrame(
             {
                 "k1": ["A", "A", "B"],
@@ -101,11 +102,16 @@ class TestPartialAggregate:
             }
         )
         got = _partial_aggregate(df, _phys(["k1"])).set_index("k1")
-        assert got.loc["A", "s"] == 0.0
+        assert np.isnan(got.loc["A", "s"]) and np.isnan(got.loc["A", "s2"])
         assert np.isnan(got.loc["A", "lo"])
-        assert got.loc["A", "c"] == 2 and got.loc["A", "a__cnt"] == 2
+        assert got.loc["A", "c"] == 2 and got.loc["A", "a__cnt"] == 1
         assert got.loc["A", "a__sum"] == 1.0 and got.loc["A", "hi"] == 1.0
+        assert got.loc["B", "s"] == 2.0 and got.loc["B", "a__cnt"] == 1
         _assert_same(_partial_aggregate(df, _phys(["k1"])), _loop_reference(df, _phys(["k1"])))
+        nulls = df.assign(v=np.nan, w=np.nan)
+        glob = _partial_aggregate(nulls, _phys([])).iloc[0]
+        assert np.isnan(glob["s"]) and np.isnan(glob["a__sum"]) and np.isnan(glob["hi"])
+        assert glob["c"] == 3 and glob["a__cnt"] == 0
 
     def test_null_keys_dropped(self):
         df = pd.DataFrame({"k1": ["A", None], "k2": ["F", "F"], "v": [1.0, 2.0], "w": [1.0, 2.0]})
