@@ -138,17 +138,16 @@ def run_query(
 
     # driver polls the result queue until it heard back from all workers
     qdir = Path(store_root) / RESULT_BUCKET / run_id
-    reports = sorted(qdir.glob("w*.json"))
-    workers = [WorkerMetrics.from_json(p.read_text()) for p in reports]
-    missing = set(range(n_workers)) - {w.worker_id for w in workers}
+    reports = [qdir / f"w{wid}.json" for wid in range(n_workers)]
+    missing = [wid for wid, p in enumerate(reports) if not p.exists()]
     if missing:
-        raise WorkerError(f"workers {sorted(missing)} never reported")
+        raise WorkerError(f"workers {missing} never reported")
+    workers = [WorkerMetrics.from_json(p.read_text()) for p in reports]
     errors = [w for w in workers if w.status == "error"]
     if errors:
         raise WorkerError(
             "; ".join(f"worker {w.worker_id}: {w.error}" for w in errors)
         )
-    workers.sort(key=lambda w: w.worker_id)
     return QueryResult(
         result=_final_aggregation(partials, phys),
         metrics=QueryMetrics(workers),

@@ -9,7 +9,8 @@ S3 until all senders' files exist.
 
 Phases for a k-level exchange:
 
-  0. *distribute*: each source worker writes its input share R_p ("in/w{p}");
+  0. *distribute*: the driver collects the input, cuts it by source worker
+     and writes each non-empty input share R_p ("in/w{p}");
   1..k. *level l*: every worker reads the level-(l-1) files addressed to it
      (or its input share), partitions the rows by the level-l coordinate of
      their partition ID, and writes one file per group member (or one
@@ -35,9 +36,8 @@ import pandas as pd
 from pyspark.accumulators import AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.pandas.types import to_arrow_schema
 
-from ..faas.dispatch import invoke, setup_worker
+from ..faas.dispatch import invoke
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
@@ -47,9 +47,6 @@ from . import naming, serde
 class ExchangeReport:
     """Accounting of one exchange run."""
 
-    spec: alg.ExchangeSpec
-    n_workers: int
-    dims: tuple
     input_rows: int
     output_rows: int
     ledger: Ledger  # exchange requests only (levels + collect)
@@ -65,6 +62,14 @@ class _LedgerSum(AccumulatorParam):
 
     def addInPlace(self, a, b):
         return a.merge(b)
+
+
+def _split(rows: pd.DataFrame, target: np.ndarray, n: int) -> list[pd.DataFrame]:
+    """``rows`` cut into ``n`` frames by ``target`` (values in ``range(n)``),
+    each keeping the rows' order."""
+    order = np.argsort(target, kind="stable")
+    cuts = np.searchsorted(target[order], np.arange(n + 1))
+    return [rows.iloc[order[a:b]] for a, b in zip(cuts, cuts[1:])]
 
 
 def _read_level_files(
@@ -123,9 +128,7 @@ def _write_level_files(
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
     me = alg.level_coord(p, dims, level)
     target = alg.level_coord(rows["pid"].to_numpy(), dims, level)
-    order = np.argsort(target, kind="stable")
-    cuts = np.searchsorted(target[order], np.arange(d + 1))
-    parts = [serde.frame_to_bytes(rows.iloc[order[a:b]]) for a, b in zip(cuts, cuts[1:])]
+    parts = [serde.frame_to_bytes(part) for part in _split(rows, target, d)]
     if spec.write_combining:
         blob, lengths = serde.combine(parts)
         if spec.offsets_mode == "filename":
@@ -172,20 +175,17 @@ def run_exchange(
     ).withColumn(
         "src", F.pmod(F.xxhash64(F.col(key_col), F.lit(run_id)), F.lit(n_workers)).cast("int")
     )
-    empty = to_arrow_schema(df2.drop("src").schema).empty_table().to_pandas()
     in_bucket = naming.bucket_for_group(0, spec.n_buckets)
 
-    # ---- phase 0: distribute input shares (the relation R of Algorithm 1)
-    def _distribute(key, pdf):
-        setup_worker()
-        p = int(key[0])
-        client = S3Client(root)
-        client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(pdf.drop(columns=["src"])))
-        input_acc.add(client.ledger)
-        return pd.DataFrame({"rows": [len(pdf)]})
-
-    shares = df2.groupBy("src").applyInPandas(_distribute, schema="rows long").collect()
-    n_in = sum(r.rows for r in shares)
+    # ---- phase 0: the driver writes the input shares (the relation R of Alg 1)
+    rows = df2.toPandas()
+    src = rows.pop("src").to_numpy()
+    empty = rows.iloc[:0]
+    driver = S3Client(root)
+    for p, share in enumerate(_split(rows, src, n_workers)):
+        if len(share):  # a source worker without rows writes nothing
+            driver.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(share))
+    input_acc.add(driver.ledger)
 
     def _read_input(p):
         client = S3Client(root)  # the input GET belongs to the scan, not the exchange
@@ -234,10 +234,7 @@ def run_exchange(
 
     total = functools.reduce(Ledger.merge, [*per_phase, collect_acc.value], Ledger())
     report = ExchangeReport(
-        spec=spec,
-        n_workers=n_workers,
-        dims=dims,
-        input_rows=n_in,
+        input_rows=len(rows),
         output_rows=n_out.value,
         ledger=total,
         input_ledger=input_acc.value,

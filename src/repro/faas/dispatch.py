@@ -7,8 +7,9 @@ Spark Python task. Before each task, Spark's Python worker calls
 ``zipimporter`` re-read the whole directory of ``pyspark.zip`` (one importer
 per package directory imported from it; about 70-130 ms a task on a 4-vCPU
 box). :func:`setup_worker` is the one-time worker-process setup that turns
-this re-read off; every function that runs inside a Spark task calls it
-first. The first task of a fresh worker process still pays the cost once.
+this re-read off; :func:`invoke` is the only Python code the program runs
+inside Spark tasks, and its task function calls it first. The first task of
+a fresh worker process still pays the cost once.
 """
 from __future__ import annotations
 

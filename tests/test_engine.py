@@ -178,6 +178,18 @@ class TestEngineMechanics:
             res.result.sort_values(by_keys).reset_index(drop=True),
         )
 
+    def test_reused_run_id_reads_only_this_runs_reports(self, spark, store_root, lineitem_ds):
+        """A second run under the same ``run_id`` with fewer workers counts
+        only its own workers' reports, not those the first run left behind."""
+        info, _ = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        engine.run_query(spark, store_root, queries.q6(src), n_workers=16, run_id="reuse")
+        res = engine.run_query(spark, store_root, queries.q6(src), n_workers=4, run_id="reuse")
+        fresh = engine.run_query(spark, store_root, queries.q6(src), n_workers=4)
+        assert res.metrics.n_workers == 4
+        assert [w.worker_id for w in res.metrics.workers] == [0, 1, 2, 3]
+        assert res.metrics.total_ledger.requests == fresh.metrics.total_ledger.requests
+
     def test_empty_file_list_rejected_before_spark(self, spark, store_root):
         sc = spark.sparkContext
         sc.setJobGroup("empty-file-list", "run_query over no files")

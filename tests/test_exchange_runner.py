@@ -102,19 +102,25 @@ class TestDetails:
         self, spark, spark_jobs, xinput, xstore
     ):
         """As in the query engine: every level and the collect run as one
-        Spark job of one stage with one task per core (no shuffle)."""
+        Spark job of one stage with one task per core, and no job of the
+        exchange runs a second stage (no Spark shuffle), whether or not the
+        input is cached."""
         spec, P = alg.ExchangeSpec(2, True), 16
         sc = spark.sparkContext
-        sc.setJobGroup("exchange-dispatch", "packed exchange phases")
-        try:
-            out, rep = runner.run_exchange(spark, xinput[0], P, spec, xstore)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        assert rep.output_rows == rep.input_rows == 8000
         n_tasks = min(P, sc.defaultParallelism)
-        assert spark_jobs("exchange-dispatch")[-(spec.levels + 1):] == [[n_tasks]] * (
-            spec.levels + 1
-        )
+        cached = spark.createDataFrame(xinput[1]).cache()
+        cached.count()
+        for group, df in [("exchange-uncached", xinput[0]), ("exchange-cached", cached)]:
+            sc.setJobGroup(group, "packed exchange phases")
+            try:
+                _, rep = runner.run_exchange(spark, df, P, spec, xstore)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            assert rep.output_rows == rep.input_rows == 8000
+            jobs = spark_jobs(group)
+            assert jobs[-(spec.levels + 1):] == [[n_tasks]] * (spec.levels + 1)
+            assert all(len(stages) == 1 for stages in jobs), (group, jobs)
+        cached.unpersist()
 
     def test_source_workers_without_rows(self, spark, xstore):
         """With fewer rows than workers some source workers get no input
